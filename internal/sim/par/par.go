@@ -59,12 +59,23 @@ type worker struct {
 func (w *worker) loop() {
 	for horizon := range w.cmd {
 		func() {
-			defer func() { w.err = recover() }()
+			returned := false
+			defer func() {
+				w.err = recover()
+				if w.err == nil && !returned {
+					// runtime.Goexit (t.FailNow in model code) is ending
+					// this goroutine: answer the barrier once so the
+					// coordinator raises it instead of waiting forever.
+					w.err = "runtime.Goexit in shard engine"
+					w.done <- struct{}{}
+				}
+			}()
 			if horizon == runFree {
 				w.eng.Run()
 			} else {
 				w.eng.RunUntil(horizon)
 			}
+			returned = true
 		}()
 		w.done <- struct{}{}
 	}

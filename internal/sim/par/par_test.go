@@ -1,6 +1,7 @@
 package par_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -124,6 +125,40 @@ func TestShardPanicPropagates(t *testing.T) {
 		}
 	}()
 	par.Run(par.Config{Engines: engines, Lookahead: 1, Exchange: func() int { return 0 }})
+}
+
+// TestShardPanicFromProc: a panic inside a process body on a worker thread
+// re-raises on the coordinating goroutine with the original value, exactly
+// like a panic in a plain event callback; runtime.Goexit there (t.FailNow
+// called from model code) ends the worker, and the coordinator raises it
+// as a panic rather than wait forever at the barrier.
+func TestShardPanicFromProc(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body func()
+		want string
+	}{
+		{"panic", func() { panic("process bug on shard 1") }, "process bug on shard 1"},
+		{"goexit", runtime.Goexit, "Goexit"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
+			engines[1].Spawn("buggy", func(p *sim.Proc) {
+				p.Sleep(3)
+				tc.body()
+			})
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("shard process failure was swallowed")
+				}
+				if !strings.Contains(r.(string), tc.want) {
+					t.Fatalf("recovered %q, want %q", r, tc.want)
+				}
+			}()
+			par.Run(par.Config{Engines: engines, Lookahead: 1, Exchange: func() int { return 0 }})
+		})
+	}
 }
 
 // TestEmptyConfig: no engines is a no-op, and engines with no events

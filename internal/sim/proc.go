@@ -1,22 +1,34 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Proc is a simulated process: application code written in blocking style
 // (post a work request, wait for a completion) that interleaves
-// deterministically with the event engine. Exactly one goroutine — the
-// engine's or one process's — runs at a time; control transfers are
-// synchronous handshakes, so simulations stay reproducible.
+// deterministically with the event engine. Exactly one side — the engine
+// or one process — runs at a time; control transfers are synchronous, so
+// simulations stay reproducible.
 //
-// A single unbuffered baton channel carries both directions of the
-// handshake: the side yielding control sends, the side waiting to run
-// receives, in strict alternation. One channel halves the channel traffic
-// of the old resume/parked pair on the hot park/wake path.
+// Each process is an iter.Pull coroutine. Wake resumes it through next,
+// park hands control back through yield; the runtime switches directly
+// between the two stacks without going through the scheduler. A panic or
+// runtime.Goexit inside the process body re-raises on the engine's side
+// of next, so it reaches whoever called Engine.Run (or par.Run's shard
+// recovery) instead of killing the program from an orphan goroutine.
+//
+// The go1.23 build line at the top of this file raises its language
+// version for iter; go.mod stays at go 1.22 (DESIGN §10.1).
 type Proc struct {
-	eng   *Engine
-	name  string
-	baton chan struct{}
-	dead  bool
+	eng  *Engine
+	name string
+	dead bool
+
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	// Precomputed event names, so Sleep/Use in a poll loop don't
 	// concatenate strings per call.
@@ -33,22 +45,21 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	p := &Proc{
 		eng:       e,
 		name:      name,
-		baton:     make(chan struct{}),
 		sleepName: name + ".sleep",
 		useName:   name + ".use",
 	}
 	p.wakeFn = func() { p.Wake() }
 	e.After(0, "spawn:"+name, func() {
-		// The goroutine IS the coroutine mechanism: exactly one runs at a
-		// time, handing off through the baton channel, so the engine stays
-		// logically single-threaded (DESIGN §4).
-		//lint:qpip-allow nogoroutine coroutine carrier with strict baton handoff
-		go func() {
+		// The coroutine is created here rather than in Spawn, so a process
+		// whose engine never runs leaves no goroutine behind, and it is
+		// created on the goroutine that resumes it (under par, the shard
+		// worker, not the goroutine that built the cluster).
+		p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
+			defer func() { p.dead = true }()
 			fn(p)
-			p.dead = true
-			p.baton <- struct{}{}
-		}()
-		<-p.baton
+		})
+		p.next()
 	})
 	return p
 }
@@ -56,14 +67,12 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 // Name reports the process name.
 func (p *Proc) Name() string { return p.name }
 
-// Done reports whether the process function has returned.
+// Done reports whether the process function has finished: returned,
+// panicked or called runtime.Goexit.
 func (p *Proc) Done() bool { return p.dead }
 
 // park transfers control back to the engine until Wake.
-func (p *Proc) park() {
-	p.baton <- struct{}{}
-	<-p.baton
-}
+func (p *Proc) park() { p.yield(struct{}{}) }
 
 // Wake resumes a parked process and blocks (the engine) until it parks
 // again or finishes. It must be called from engine context (an event
@@ -72,8 +81,7 @@ func (p *Proc) Wake() {
 	if p.dead {
 		panic(fmt.Sprintf("sim: Wake on finished process %q", p.name))
 	}
-	p.baton <- struct{}{}
-	<-p.baton
+	p.next()
 }
 
 // Suspend parks until some event calls Wake.

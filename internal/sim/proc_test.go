@@ -1,6 +1,16 @@
 package sim
 
-import "testing"
+import (
+	"context"
+	"errors"
+	"fmt"
+	"os"
+	"os/exec"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+)
 
 func TestProcRunsAndFinishes(t *testing.T) {
 	e := NewEngine()
@@ -149,4 +159,127 @@ func TestWakeDeadProcPanics(t *testing.T) {
 		}
 	}()
 	p.Wake()
+}
+
+// TestProcPanicPropagates: a panic inside a process body re-raises out of
+// Engine.Run on the caller's goroutine with its original value, instead of
+// crashing the program from the process's own stack.
+func TestProcPanicPropagates(t *testing.T) {
+	e := NewEngine()
+	p := e.Spawn("buggy", func(p *Proc) {
+		p.Sleep(10)
+		panic("model bug in process")
+	})
+	defer func() {
+		if r := recover(); r != "model bug in process" {
+			t.Fatalf("recovered %v, want the process's panic value", r)
+		}
+		if !p.Done() {
+			t.Error("panicked process not marked done")
+		}
+	}()
+	e.Run()
+	t.Fatal("Run returned normally after a process panicked")
+}
+
+// TestProcFatalEndsTest: t.Fatal (runtime.Goexit) inside a process ends the
+// test as a failure instead of hanging the engine. The failing case runs in
+// a child test binary so this test can assert on its outcome.
+func TestProcFatalEndsTest(t *testing.T) {
+	const childEnv = "SIM_PROC_FATAL_CHILD"
+	if os.Getenv(childEnv) == "1" {
+		e := NewEngine()
+		e.Spawn("fatal", func(p *Proc) {
+			p.Sleep(10)
+			t.Fatal("fatal inside a process")
+		})
+		e.Run()
+		t.Error("Run returned after t.Fatal in a process")
+		return
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestProcFatalEndsTest$", "-test.count=1", "-test.timeout=30s")
+	cmd.Env = append(os.Environ(), childEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if ctx.Err() != nil {
+		t.Fatalf("child test hung:\n%s", out)
+	}
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("child test: err=%v, want exit status 1 (test failed)\n%s", err, out)
+	}
+	for _, want := range []string{"--- FAIL: TestProcFatalEndsTest", "fatal inside a process"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("child output lacks %q:\n%s", want, out)
+		}
+	}
+	for _, bad := range []string{"Run returned", "timed out", "deadlock"} {
+		if strings.Contains(string(out), bad) {
+			t.Errorf("child output contains %q:\n%s", bad, out)
+		}
+	}
+}
+
+// TestProcSelfWakePanics: a process that Wakes itself while running is a
+// misuse that must fail loudly, not deadlock.
+func TestProcSelfWakePanics(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("selfwake", func(p *Proc) { p.Wake() })
+	defer func() {
+		if recover() == nil {
+			t.Error("self-Wake did not panic")
+		}
+	}()
+	e.Run()
+}
+
+// TestWakeBeforeStartPanics: waking a process whose spawn event has not
+// fired yet is a misuse that must fail loudly, not deadlock.
+func TestWakeBeforeStartPanics(t *testing.T) {
+	e := NewEngine()
+	p := e.Spawn("unstarted", func(p *Proc) {})
+	defer func() {
+		if recover() == nil {
+			t.Error("Wake before start did not panic")
+		}
+	}()
+	p.Wake()
+}
+
+// TestProcNoResidualGoroutines: processes that run to completion leave no
+// coroutine behind once the engine quiesces, and processes spawned on an
+// engine that never runs leave none either.
+func TestProcNoResidualGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	idle := NewEngine()
+	for i := 0; i < 8; i++ {
+		idle.Spawn(fmt.Sprintf("idle%d", i), func(p *Proc) { p.Suspend() })
+	}
+	e := NewEngine()
+	const n = 64
+	procs := make([]*Proc, n)
+	for i := range procs {
+		procs[i] = e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			p.Sleep(Time(i))
+			p.Suspend()
+		})
+	}
+	// Wake each process out of its Suspend so every body returns.
+	for i, p := range procs {
+		e.At(Time(n+i), "release", p.Wake)
+	}
+	e.Run()
+	for _, p := range procs {
+		if !p.Done() {
+			t.Fatalf("process %s did not finish", p.Name())
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d goroutines after teardown, want <= %d", got, before)
+	}
 }
